@@ -17,8 +17,8 @@ import (
 // PR8 baseline (predicate kernels only, generic accumulation). Covers the
 // three fused shapes — dense scalar, filtered scalar, dict group-by — so a
 // regression in any accumulator loop or in the fusion plumbing trips it.
-// The headline speedups are E34's to report; this test only guards the
-// floor.
+// The two sides run alternately, best-of-reps. The headline speedups are
+// E34's to report; this test only guards the floor.
 func TestAggKernelNeverSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing guard skipped in -short mode")
@@ -53,27 +53,16 @@ func TestAggKernelNeverSlower(t *testing.T) {
 			GroupBy: []string{"cat"},
 		}},
 	}
-	bestOf := func(reps int, tbl *storage.Table, q exec.Query, opt exec.ExecOptions) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := exec.ExecuteOpts(tbl, q, opt); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
 	baseOpt := exec.ExecOptions{Parallelism: 1, Kernels: true}
 	aggOpt := exec.ExecOptions{Parallelism: 1, Kernels: true, AggKernels: true}
 	for _, qq := range queries {
-		// Warm both paths so first-touch allocation biases neither.
-		bestOf(1, qq.tbl, qq.q, baseOpt)
-		bestOf(1, qq.tbl, qq.q, aggOpt)
-		base := bestOf(5, qq.tbl, qq.q, baseOpt)
-		agg := bestOf(5, qq.tbl, qq.q, aggOpt)
+		run := func(opt exec.ExecOptions) func() error {
+			return func() error {
+				_, err := exec.ExecuteOpts(qq.tbl, qq.q, opt)
+				return err
+			}
+		}
+		base, agg := alternateBestOf(t, 7, run(baseOpt), run(aggOpt))
 		const slack = 2 * time.Millisecond
 		limit := base + base/9 + slack // base/0.9, plus jitter allowance
 		t.Logf("%s: rows=%d GOMAXPROCS=%d baseline=%v aggkernel=%v limit=%v",

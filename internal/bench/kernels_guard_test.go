@@ -38,29 +38,19 @@ func TestKernelScanNeverSlower(t *testing.T) {
 		{"cmp-10pct", expr.Cmp("v", expr.LT, storage.Float(10))},
 		{"between-10pct", expr.Between("v", storage.Float(50), storage.Float(60))},
 	}
-	bestOf := func(reps int, q exec.Query, opt exec.ExecOptions) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := exec.ExecuteOpts(tab, q, opt); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
 	for _, qq := range queries {
 		q := exec.Query{
 			Select: []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}},
 			Where:  qq.p,
 		}
-		// Warm both paths so first-touch allocation biases neither.
-		bestOf(1, q, exec.ExecOptions{Parallelism: 1})
-		bestOf(1, q, exec.ExecOptions{Parallelism: 1, Kernels: true})
-		generic := bestOf(5, q, exec.ExecOptions{Parallelism: 1})
-		kernel := bestOf(5, q, exec.ExecOptions{Parallelism: 1, Kernels: true})
+		run := func(opt exec.ExecOptions) func() error {
+			return func() error {
+				_, err := exec.ExecuteOpts(tab, q, opt)
+				return err
+			}
+		}
+		generic, kernel := alternateBestOf(t, 7,
+			run(exec.ExecOptions{Parallelism: 1}), run(exec.ExecOptions{Parallelism: 1, Kernels: true}))
 		const slack = 2 * time.Millisecond
 		limit := generic + generic/9 + slack // generic/0.9, plus jitter allowance
 		t.Logf("%s: rows=%d GOMAXPROCS=%d generic=%v kernel=%v limit=%v",

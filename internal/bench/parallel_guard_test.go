@@ -17,7 +17,8 @@ import (
 // sequential scan. The bound is deliberately generous — on a single-core
 // box (GOMAXPROCS=1) the parallel path buys nothing and pays goroutine
 // and atomic-cursor overhead, so this test pins "overhead is bounded",
-// not "speedup exists". Timings are best-of-reps to shave scheduler noise,
+// not "speedup exists". The two sides run alternately, rep by rep, so
+// host-speed drift hits both alike; best-of-reps shaves scheduler noise,
 // and a small absolute slack absorbs sub-millisecond jitter.
 func TestParallelScanNeverSlower(t *testing.T) {
 	if testing.Short() {
@@ -37,26 +38,13 @@ func TestParallelScanNeverSlower(t *testing.T) {
 		Where:  expr.Cmp("amount", expr.GT, storage.Float(120)),
 	}
 
-	bestOf := func(reps int, opt exec.ExecOptions) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := exec.ExecuteOpts(sales, q, opt); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	run := func(opt exec.ExecOptions) func() error {
+		return func() error {
+			_, err := exec.ExecuteOpts(sales, q, opt)
+			return err
 		}
-		return best
 	}
-
-	// Warm both paths once so first-touch allocation does not bias either.
-	bestOf(1, exec.ExecOptions{Parallelism: 1})
-	bestOf(1, exec.ExecOptions{Parallelism: 4})
-
-	seq := bestOf(5, exec.ExecOptions{Parallelism: 1})
-	parl := bestOf(5, exec.ExecOptions{Parallelism: 4})
+	seq, parl := alternateBestOf(t, 7, run(exec.ExecOptions{Parallelism: 1}), run(exec.ExecOptions{Parallelism: 4}))
 
 	const slack = 2 * time.Millisecond
 	limit := seq + seq/5 + slack // 1.2x plus absolute jitter allowance
@@ -65,4 +53,26 @@ func TestParallelScanNeverSlower(t *testing.T) {
 	if parl > limit {
 		t.Errorf("parallel scan %v exceeds 1.2x sequential %v (limit %v)", parl, seq, limit)
 	}
+}
+
+// alternateBestOf warms a and b once each, then times them alternately for
+// reps rounds and returns each side's best run. Alternating puts both sides
+// under the same host-speed drift, which back-to-back blocks of reps do not.
+func alternateBestOf(t *testing.T, reps int, a, b func() error) (bestA, bestB time.Duration) {
+	t.Helper()
+	timed := func(fn func() error) time.Duration {
+		start := time.Now()
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	timed(a)
+	timed(b)
+	bestA, bestB = time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < reps; i++ {
+		bestA = min(bestA, timed(a))
+		bestB = min(bestB, timed(b))
+	}
+	return bestA, bestB
 }

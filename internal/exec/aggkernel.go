@@ -14,11 +14,14 @@
 //     accumulator array (no hashing at all, distinct ≤ maxDictGroups);
 //     a plain or run-coded int column hashes raw int64 keys. String key
 //     building survives only in the generic multi-column/string fallback.
-//   - The channel-less handoff: when the WHERE clause also compiles (or is
-//     trivially true), filter and accumulate fuse per morsel — each worker
-//     runs the predicate kernel into a pooled selection buffer, feeds the
-//     buffer straight into its accumulator, and returns it to the pool.
-//     Aggregate queries never materialize the global selection vector.
+//   - The channel-less handoff: the accumulator is a visitor of the one
+//     morsel driver (parallel.go), so filter and accumulate fuse per
+//     morsel — each worker runs the predicate leaf (a compiled kernel into
+//     a pooled selection buffer, or expr.FilterRange when the WHERE clause
+//     does not compile), feeds the selection straight into its
+//     accumulator, and returns the buffer to the pool. A trivial WHERE
+//     folds whole row ranges. Aggregate queries never materialize the
+//     global selection vector.
 //
 // Compilation never fails a query: any unsupported shape — including
 // invalid select lists — returns a nil kernel with a stable fallback
@@ -29,12 +32,8 @@ package exec
 
 import (
 	"sort"
-	"sync/atomic"
 
-	"dex/internal/expr"
-	"dex/internal/par"
 	"dex/internal/storage"
-	"dex/internal/trace"
 )
 
 // maxDictGroups caps the dense per-code accumulator arrays of a
@@ -173,9 +172,8 @@ type aggItem struct {
 	has        []bool
 }
 
-// aggAcc is one typed accumulator instance: per-morsel on the scalar
-// parallel path, per-worker on the group path, exactly one on the
-// sequential paths.
+// aggAcc is one typed accumulator instance: per-morsel for scalar
+// aggregation, per-worker for group-by.
 type aggAcc struct {
 	ak     *aggKernel
 	items  []aggItem
@@ -664,306 +662,49 @@ func mergeGroupAccs(ak *aggKernel, accs []*aggAcc) []*groupEntry {
 	return entries
 }
 
-// executeAggKernel runs a compiled aggregate query end to end. When the
-// WHERE clause compiles too (or is trivially true) the pipeline fuses:
-// pooled selection buffers never leave their morsel and no global
-// selection vector exists. Otherwise the generic scan materializes the
-// selection and the typed accumulators consume it.
-func executeAggKernel(t *storage.Table, q Query, ak *aggKernel, pool *par.Pool, tr tracer, opt ExecOptions, sp *trace.Span) (*storage.Table, error) {
-	n := t.NumRows()
-	stageName := "aggregate"
-	if ak.mode != gmScalar {
-		stageName = "group_by"
-	}
-	dense := q.Where == nil || q.Where.Kind == expr.KTrue
-	var kern *expr.Kernel
-	kreason := ""
-	if !dense {
-		kern, kreason = expr.CompileKernel(t, q.Where)
-	}
-
-	var out *storage.Table
-	var err error
-	if dense || kern != nil {
-		if kern != nil {
-			if err := fpKernel.Hit(); err != nil {
-				return nil, err
-			}
-		}
-		var pruners []zonePruner
-		if opt.ZoneMap && kern != nil {
-			pruners, err = zonePruners(t, q.Where, pool.MorselSize())
-			if err != nil {
-				return nil, err
-			}
-		}
-		st := sp.Child(stageName)
-		var matched, zskipped int64
-		if ak.mode == gmScalar {
-			out, matched, zskipped, err = ak.scalarFused(t, q, kern, pruners, pool, tr)
-		} else {
-			out, matched, zskipped, err = ak.groupFused(t, q, kern, pruners, pool, tr)
-		}
-		if opt.ZoneSkipped != nil && zskipped > 0 {
-			opt.ZoneSkipped.Add(zskipped)
-		}
-		if st != nil {
-			st.SetInt("rows_in", int64(n))
-			st.SetInt("rows_matched", matched)
-			st.SetInt("morsels", int64(pool.Morsels(n)))
-			st.SetInt("workers", int64(pool.WorkersFor(n)))
-			st.SetBool("agg_kernel", true)
-			st.SetBool("fused", true)
-			if kern != nil {
-				st.SetBool("kernel", true)
-				st.SetInt("kernel_leaves", int64(kern.Leaves()))
-			}
-			if opt.ZoneMap {
-				st.SetInt("zone_skipped", zskipped)
-			}
-			if err == nil && ak.mode != gmScalar {
-				st.SetInt("groups", int64(out.NumRows()))
-			}
-			st.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// The predicate doesn't specialize: scan generically into a
-		// materialized selection, then accumulate typed over it.
-		scanSp := sp.Child("scan")
-		sel, zskipped, serr := filterPar(t, q.Where, pool, tr, opt.ZoneMap)
-		if opt.ZoneSkipped != nil && zskipped > 0 {
-			opt.ZoneSkipped.Add(zskipped)
-		}
-		if scanSp != nil {
-			scanSp.SetInt("rows_in", int64(n))
-			scanSp.SetInt("rows_out", int64(len(sel)))
-			scanSp.SetInt("morsels", int64(pool.Morsels(n)))
-			scanSp.SetInt("workers", int64(pool.WorkersFor(n)))
-			if opt.ZoneMap {
-				scanSp.SetInt("zone_skipped", zskipped)
-			}
-			scanSp.SetBool("kernel", false)
-			scanSp.SetStr("kernel_fallback", kreason)
-			scanSp.End()
-		}
-		if serr != nil {
-			return nil, serr
-		}
-		st := sp.Child(stageName)
-		st.SetInt("rows_in", int64(len(sel)))
-		st.SetBool("agg_kernel", true)
-		st.SetBool("fused", false)
-		out, err = ak.aggregateSel(t, q, sel, pool, tr)
-		if err == nil && ak.mode != gmScalar {
-			st.SetInt("groups", int64(out.NumRows()))
-		}
-		st.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := tr.ctx.Err(); err != nil {
-		return nil, err
-	}
-	fsp := sp.Child("finish")
-	out, err = finish(out, q)
-	fsp.End()
-	return out, err
-}
-
-// scalarFused filters and accumulates per morsel with no selection vector
-// outliving its morsel. Partials are morsel-indexed so the merge order —
-// and the floating-point sum — is deterministic for a given morsel size,
-// matching scalarAggregatePar's contract.
-func (ak *aggKernel) scalarFused(t *storage.Table, q Query, kern *expr.Kernel, pruners []zonePruner, pool *par.Pool, tr tracer) (*storage.Table, int64, int64, error) {
-	n := t.NumRows()
-	m := pool.MorselSize()
-	if pool.WorkersFor(n) <= 1 && !tr.active() && len(pruners) == 0 {
-		if err := fpScan.Hit(); err != nil {
-			return nil, 0, 0, err
-		}
-		acc := ak.newAcc()
-		matched := int64(0)
-		if kern == nil {
-			acc.addRange(0, n)
-			matched = int64(n)
-		} else {
-			// One pooled buffer serves every morsel in turn: run the
-			// kernel, fold, reset — the whole channel-less handoff in
-			// three lines.
-			buf := getSel()
-			defer putSel(buf)
-			for lo := 0; lo < n; lo += m {
-				hi := lo + m
-				if hi > n {
-					hi = n
-				}
-				*buf = kern.Run(lo, hi, (*buf)[:0])
-				acc.addSel(*buf)
-				matched += int64(len(*buf))
-			}
-		}
-		out, err := buildScalarOutput(t, q, acc.states(0))
-		return out, matched, 0, err
-	}
-	partials := make([][]*aggState, storage.NumChunks(n, m))
-	var matched, skipped atomic.Int64
-	err := pool.ForEachErrCtx(tr.ctx, n, func(_, lo, hi int) error {
-		if ferr := fpScan.Hit(); ferr != nil {
-			return ferr
-		}
-		for _, pr := range pruners {
-			if pr.skip(lo / m) {
-				skipped.Add(1)
-				return nil
-			}
-		}
-		acc := ak.newAcc()
-		if kern == nil {
-			acc.addRange(lo, hi)
-			matched.Add(int64(hi - lo))
-			tr.count(hi - lo)
-		} else {
-			buf := getSel()
-			*buf = kern.Run(lo, hi, (*buf)[:0])
-			acc.addSel(*buf)
-			matched.Add(int64(len(*buf)))
-			tr.count(hi - lo + len(*buf))
-			putSel(buf)
-		}
-		partials[lo/m] = acc.states(0)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	states := newAggStates(q)
-	for _, p := range partials {
-		if p == nil { // pruned morsel: contributed nothing
-			continue
-		}
-		for i, st := range states {
-			if st != nil {
-				st.merge(p[i])
-			}
-		}
-	}
-	out, err := buildScalarOutput(t, q, states)
-	return out, matched.Load(), skipped.Load(), err
-}
-
-// groupFused is scalarFused's group-by twin: worker-local accumulators
-// (dict mode: dense per-code arrays; int modes: raw-key hash), merged and
-// re-sorted by first-seen row id.
-func (ak *aggKernel) groupFused(t *storage.Table, q Query, kern *expr.Kernel, pruners []zonePruner, pool *par.Pool, tr tracer) (*storage.Table, int64, int64, error) {
-	n := t.NumRows()
-	m := pool.MorselSize()
-	w := pool.WorkersFor(n)
-	if w < 1 {
-		w = 1
-	}
-	locals := make([]*aggAcc, w)
-	var matched, skipped atomic.Int64
-	err := pool.ForEachErrCtx(tr.ctx, n, func(worker, lo, hi int) error {
-		if ferr := fpScan.Hit(); ferr != nil {
-			return ferr
-		}
-		for _, pr := range pruners {
-			if pr.skip(lo / m) {
-				skipped.Add(1)
-				return nil
-			}
-		}
-		acc := locals[worker]
-		if acc == nil {
-			acc = ak.newAcc()
-			locals[worker] = acc
-		}
-		if kern == nil {
-			acc.addGroupRange(lo, hi)
-			matched.Add(int64(hi - lo))
-			tr.count(hi - lo)
-		} else {
-			buf := getSel()
-			*buf = kern.Run(lo, hi, (*buf)[:0])
-			acc.addGroupSel(*buf)
-			matched.Add(int64(len(*buf)))
-			tr.count(hi - lo + len(*buf))
-			putSel(buf)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	out, err := buildGroupEntries(t, q, ak.inputs, mergeGroupAccs(ak, locals))
-	return out, matched.Load(), skipped.Load(), err
-}
-
-// aggregateSel runs the typed accumulators over an already-materialized
-// selection — the half-fused path behind uncompilable predicates. It
-// mirrors scalarAggregatePar/groupByPar's scheduling and merge order.
-func (ak *aggKernel) aggregateSel(t *storage.Table, q Query, sel []int, pool *par.Pool, tr tracer) (*storage.Table, error) {
-	m := pool.MorselSize()
+// aggregate is the typed visitor: it drives the scan and folds each
+// morsel's selection (or, on a dense scan, its whole row range through
+// addRange) straight into a typed accumulator, so no selection outlives
+// its morsel. Scalar partials are morsel-indexed and merge in morsel order
+// — the float sum is deterministic for a given morsel size, as in
+// scalarAggregatePar. Group accumulators are worker-local (dict mode:
+// dense per-code arrays; int modes: raw-key hash), merged and re-sorted by
+// first-seen row id.
+func (ak *aggKernel) aggregate(s *scan, q Query) (*storage.Table, error) {
+	n := s.t.NumRows()
+	dense := s.where == nil
 	if ak.mode == gmScalar {
-		if pool.WorkersFor(len(sel)) <= 1 {
+		m := s.pool.MorselSize()
+		partials := make([][]*aggState, s.pool.Morsels(n))
+		err := s.drive(func(_, lo, hi int, sel []int) {
 			acc := ak.newAcc()
-			if !tr.active() {
+			if dense {
+				acc.addRange(lo, hi)
+			} else {
 				acc.addSel(sel)
-				return buildScalarOutput(t, q, acc.states(0))
 			}
-			for lo := 0; lo < len(sel); lo += m {
-				if err := tr.ctx.Err(); err != nil {
-					return nil, err
-				}
-				hi := lo + m
-				if hi > len(sel) {
-					hi = len(sel)
-				}
-				acc.addSel(sel[lo:hi])
-				tr.count(hi - lo)
-			}
-			return buildScalarOutput(t, q, acc.states(0))
-		}
-		partials := make([][]*aggState, storage.NumChunks(len(sel), m))
-		err := pool.ForEachCtx(tr.ctx, len(sel), func(_, lo, hi int) {
-			acc := ak.newAcc()
-			acc.addSel(sel[lo:hi])
 			partials[lo/m] = acc.states(0)
-			tr.count(hi - lo)
 		})
 		if err != nil {
 			return nil, err
 		}
-		states := newAggStates(q)
-		for _, p := range partials {
-			for i, st := range states {
-				if st != nil {
-					st.merge(p[i])
-				}
-			}
-		}
-		return buildScalarOutput(t, q, states)
+		return buildScalarOutput(s.t, q, mergePartials(q, partials))
 	}
-	w := pool.WorkersFor(len(sel))
-	if w < 1 {
-		w = 1
-	}
-	locals := make([]*aggAcc, w)
-	err := pool.ForEachCtx(tr.ctx, len(sel), func(worker, lo, hi int) {
+	locals := make([]*aggAcc, max(1, s.pool.WorkersFor(n)))
+	err := s.drive(func(worker, lo, hi int, sel []int) {
 		acc := locals[worker]
 		if acc == nil {
 			acc = ak.newAcc()
 			locals[worker] = acc
 		}
-		acc.addGroupSel(sel[lo:hi])
-		tr.count(hi - lo)
+		if dense {
+			acc.addGroupRange(lo, hi)
+		} else {
+			acc.addGroupSel(sel)
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return buildGroupEntries(t, q, ak.inputs, mergeGroupAccs(ak, locals))
+	return buildGroupEntries(s.t, q, ak.inputs, mergeGroupAccs(ak, locals))
 }

@@ -148,10 +148,38 @@ func (q Query) String() string {
 	return b.String()
 }
 
-// Execute runs the query against the table sequentially and returns a
-// result table. ExecuteOpts selects the morsel-driven parallel operators.
+// Execute runs the query against the table with the sequential generic
+// operators — expr.Filter, then scalar aggregation, hash group-by or
+// projection, then the HAVING/ORDER BY/LIMIT tail — and returns a result
+// table. It shares no dispatch with ExecuteOpts: no morsels, kernels, zone
+// maps or typed accumulators, which is what makes it the oracle the parity
+// matrices and fuzzers hold the morsel driver to.
 func Execute(t *storage.Table, q Query) (*storage.Table, error) {
-	return ExecuteOpts(t, q, ExecOptions{Parallelism: 1})
+	if len(q.Select) == 0 {
+		return nil, ErrEmptySelect
+	}
+	if q.Where != nil && q.Where.Kind != expr.KTrue {
+		if err := fpScan.Hit(); err != nil {
+			return nil, err
+		}
+	}
+	sel, err := expr.Filter(t, q.Where)
+	if err != nil {
+		return nil, err
+	}
+	var out *storage.Table
+	switch {
+	case len(q.GroupBy) > 0:
+		out, err = groupBy(t, sel, q)
+	case q.HasAggregates():
+		out, err = scalarAggregate(t, sel, q)
+	default:
+		out, err = project(t, sel, q)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return finish(out, q)
 }
 
 // Finish applies the post-aggregation tail of a query — HAVING, ORDER BY
@@ -164,8 +192,9 @@ func Finish(out *storage.Table, q Query) (*storage.Table, error) {
 }
 
 // finish applies the post-aggregation tail of a query — HAVING, ORDER BY
-// and LIMIT — to the operator output. These stages run sequentially in both
-// execution paths: they see at most the grouped output, which is small.
+// and LIMIT — to the operator output. These stages run sequentially under
+// both Execute and the morsel driver: they see at most the grouped output,
+// which is small.
 func finish(out *storage.Table, q Query) (*storage.Table, error) {
 	var err error
 	if q.Having != nil {

@@ -1,28 +1,27 @@
-// Kernel dispatch for the filtered scan: when ExecOptions.Kernels is set,
-// the scan tries to compile the WHERE predicate into a typed kernel
-// (expr.CompileKernel) and runs it per morsel over raw column slices into
-// pooled selection buffers — no boxed Eval per row, no per-row allocation.
-// Predicates the compiler rejects fall back to the generic filterPar path,
-// and the scan span records which way the query went (kernel /
-// kernel_leaves / kernel_fallback attrs).
+// Kernel dispatch for the morsel driver: when ExecOptions.Kernels is set,
+// or a typed aggregation asks for it, the driver's plan compiles the WHERE
+// predicate into a typed kernel (expr.CompileKernel) and runs it per morsel
+// over raw column slices into pooled selection buffers — no boxed Eval per
+// row, no per-row allocation. Predicates the compiler rejects run the
+// generic expr.FilterRange leaf, and the span records which way the query
+// went (kernel / kernel_leaves / kernel_fallback attrs).
 //
-// Selection-vector lifetime: pooled buffers exist only inside
-// filterKernel. Each morsel claims one (reset to length zero — a reused
-// buffer must never expose rows from its previous query), fills it, and
-// parks it in the morsel-ordered parts slice; after the merge copies the
-// positions out, a deferred sweep returns every claimed buffer, including
-// on error and cancellation paths. Nothing downstream of the scan ever
-// holds a pooled buffer.
+// Selection-vector lifetime: pooled buffers exist only inside the driver
+// and its visitors. Each morsel claims one (reset to length zero — a
+// reused buffer must never expose rows from its previous query) and fills
+// it. A typed accumulator folds it and the driver returns it at once; the
+// collect visitor parks it in a morsel-ordered slice and, after the merge
+// copies the positions out, a deferred sweep returns every claimed buffer,
+// including on error and cancellation paths. Nothing downstream of the
+// scan ever holds a pooled buffer.
 package exec
 
 import (
 	"sync"
 	"sync/atomic"
 
-	"dex/internal/expr"
 	"dex/internal/fault"
 	"dex/internal/par"
-	"dex/internal/storage"
 )
 
 // fpKernel injects faults at the kernel-dispatch seam: hit once per query
@@ -54,103 +53,4 @@ func getSel() *[]int {
 func putSel(buf *[]int) {
 	selPool.Put(buf)
 	selOutstanding.Add(-1)
-}
-
-// kernelInfo reports how the scan was dispatched, for the trace span.
-type kernelInfo struct {
-	used     bool
-	leaves   int
-	fallback string // compile fallback reason when !used
-}
-
-// filterKernel is filterPar with kernel dispatch: compiled predicates run
-// as typed kernels per morsel; everything else delegates to the generic
-// path. Semantics are identical either way — the differential fuzzer and
-// the parity matrix hold the two paths equal.
-func filterKernel(t *storage.Table, p *expr.Pred, pool *par.Pool, tr tracer, zone bool) ([]int, int64, kernelInfo, error) {
-	kern, reason := expr.CompileKernel(t, p)
-	if kern == nil {
-		sel, skipped, err := filterPar(t, p, pool, tr, zone)
-		return sel, skipped, kernelInfo{fallback: reason}, err
-	}
-	info := kernelInfo{used: true, leaves: kern.Leaves()}
-	if err := fpKernel.Hit(); err != nil {
-		return nil, 0, info, err
-	}
-	n := t.NumRows()
-	var pruners []zonePruner
-	if zone {
-		var err error
-		pruners, err = zonePruners(t, p, pool.MorselSize())
-		if err != nil {
-			return nil, 0, info, err
-		}
-	}
-	m := pool.MorselSize()
-	if pool.WorkersFor(n) <= 1 && !tr.active() && len(pruners) == 0 {
-		if err := fpScan.Hit(); err != nil {
-			return nil, 0, info, err
-		}
-		// One pooled buffer serves every morsel in turn; matches append to
-		// a result sized by what actually matched. Running the kernel over
-		// [0, n) into one buffer would demand a table-sized allocation per
-		// query (the branch-free scan pre-sizes its write window), which
-		// costs more in page faults than the scan itself at low selectivity.
-		var out []int
-		buf := getSel()
-		defer putSel(buf)
-		for lo := 0; lo < n; lo += m {
-			hi := lo + m
-			if hi > n {
-				hi = n
-			}
-			*buf = kern.Run(lo, hi, (*buf)[:0])
-			out = append(out, *buf...)
-		}
-		return out, 0, info, nil
-	}
-	parts := make([]*[]int, storage.NumChunks(n, m))
-	defer func() {
-		// Return every claimed buffer — after the merge below has copied the
-		// positions out, or on the error/cancellation path with the merge
-		// never reached.
-		for _, b := range parts {
-			if b != nil {
-				putSel(b)
-			}
-		}
-	}()
-	var skipped atomic.Int64
-	err := pool.ForEachErrCtx(tr.ctx, n, func(_, lo, hi int) error {
-		if ferr := fpScan.Hit(); ferr != nil {
-			return ferr
-		}
-		for _, pr := range pruners {
-			if pr.skip(lo / m) {
-				skipped.Add(1)
-				return nil
-			}
-		}
-		buf := getSel()
-		*buf = kern.Run(lo, hi, *buf)
-		parts[lo/m] = buf
-		tr.count(hi - lo)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, info, err
-	}
-	total := 0
-	for _, s := range parts {
-		if s != nil {
-			total += len(*s)
-		}
-	}
-	out := make([]int, 0, total)
-	for _, s := range parts {
-		if s != nil {
-			out = append(out, *s...)
-		}
-	}
-	return out, skipped.Load(), info, nil
 }

@@ -1,16 +1,26 @@
-// Morsel-driven parallel operators. The hot, order-insensitive operators —
-// filtered scan, scalar aggregation and hash group-by — fan work over
-// internal/par; everything downstream of aggregation (HAVING, ORDER BY,
-// LIMIT) stays sequential because it sees at most the grouped output.
+// Morsel-driven execution. ExecuteCtx plans each query once — the row leaf,
+// the zone pruners and the visitor — and runs it through one morsel
+// driver, scan.drive, the only code that hands morsels of a table's rows
+// to internal/par. Each morsel passes the exec/scan fault site, consults
+// the zone pruners, runs the leaf into a selection, advances the live
+// counter and goes to the visitor:
 //
-// Parallel execution is semantically transparent: the selection vector is
-// merged back in morsel order (ascending row positions, as a sequential
-// scan produces), aggregate states are a commutative monoid under merge
-// (NaN inputs — the engine's NULL — are skipped, see aggState.add), and
-// merged groups are re-sorted by their first-seen position in the selection
-// vector. The only observable difference from sequential execution is the
-// floating-point association order of SUM/AVG partials, which can move the
-// result by an ulp.
+//   - collect (projections, and aggregations the typed kernels decline)
+//     merges the per-morsel selections in morsel order; the generic scalar
+//     aggregate and hash group-by then fan over the merged selection;
+//   - a typed scalar or group accumulator (aggkernel.go) folds the morsel
+//     in place, so typed aggregation never builds a global selection.
+//
+// Everything downstream of aggregation (HAVING, ORDER BY, LIMIT) stays
+// sequential because it sees at most the grouped output.
+//
+// Morsel execution is semantically transparent: selections merge back in
+// morsel order (ascending row positions, as a sequential scan produces),
+// aggregate states are a commutative monoid under merge (NaN inputs — the
+// engine's NULL — are skipped, see aggState.add), and merged groups are
+// re-sorted by their first-seen position. The only observable difference
+// from Execute, the sequential oracle, is the floating-point association
+// order of SUM/AVG partials, which can move the result by an ulp.
 //
 // ExecuteCtx adds the service layer's two needs on top: cooperative
 // cancellation (the scheduler checks ctx between morsel claims, so a
@@ -36,19 +46,22 @@ import (
 // compares against. Test-only; never set in production code.
 var disableTrace bool
 
-// fpScan injects scan-level faults: hit once before a whole-table filter
-// and once per morsel on the morsel-granular paths. Latency policies here
-// are how tests make a query overrun its deadline on demand (and so how
-// the degradation contract in core is exercised).
+// fpScan injects scan-level faults: hit once per morsel the driver runs,
+// and once per Execute call with a non-trivial WHERE. Latency policies
+// here are how tests make a query overrun its deadline on demand (and so
+// how the degradation contract in core is exercised).
 var fpScan = fault.Register("exec/scan")
 
-// ExecOptions tunes query execution.
+// ExecOptions tunes query execution. The four switches (ZoneMap, Kernels,
+// AggKernels, and core's Encode) only pick the leaf, the pruners or the
+// visitor of the one morsel driver; every combination returns Execute's
+// answer, which the parity matrices and fuzzers check.
 type ExecOptions struct {
-	// Parallelism is the number of workers: 0 means GOMAXPROCS, 1 forces
-	// the sequential operators.
+	// Parallelism is the number of workers: 0 means GOMAXPROCS, 1 runs the
+	// morsels one after another on the calling goroutine.
 	Parallelism int
 	// MorselSize is the rows per scheduling unit (0 = par.DefaultMorselSize).
-	// Inputs that fit in a single morsel always run sequentially.
+	// Inputs that fit in a single morsel always run on one worker.
 	MorselSize int
 	// Scanned, when non-nil, is incremented live with the number of rows
 	// each operator stage visits (predicate evaluation and aggregate
@@ -61,24 +74,21 @@ type ExecOptions struct {
 	// may be shared across queries; /admin/stats and the shard Stats probe
 	// read it to make pruning effectiveness observable.
 	ZoneSkipped *atomic.Int64
-	// ZoneMap enables zone-map scan skipping: the filtered scan consults
+	// ZoneMap enables zone-map scan skipping: the driver consults
 	// lazily-built per-morsel min/max summaries and skips morsels whose
 	// value range cannot intersect a recognized range predicate (see
-	// zonemap.go). Off by default so the zone-map-off path is bit-for-bit
-	// the pre-zone-map scan.
+	// zonemap.go).
 	ZoneMap bool
 	// Kernels enables typed predicate kernels: specializable WHERE clauses
-	// compile to raw-slice scan loops (see kernel.go), everything else
-	// falls back to the generic path. Off by default so the kernels-off
-	// path is bit-for-bit the pre-kernel scan.
+	// compile to raw-slice scan loops over pooled selection buffers
+	// (expr.CompileKernel); everything else runs the generic
+	// expr.FilterRange leaf.
 	Kernels bool
-	// AggKernels enables typed aggregation kernels and the fused
-	// filter→aggregate pipeline (see aggkernel.go): aggregate queries
-	// accumulate over raw column slices, and when the WHERE clause also
-	// compiles the filter feeds the accumulator per morsel through pooled
-	// buffers — no global selection vector. Independent of Kernels: the
-	// aggregate side compiles its own predicate kernel. Off by default so
-	// the agg-kernels-off path is bit-for-bit the prior pipeline.
+	// AggKernels enables typed aggregation kernels (see aggkernel.go):
+	// aggregate queries accumulate over raw column slices, fused with the
+	// scan morsel by morsel — no global selection vector. Independent of
+	// Kernels: the typed visitor compiles its own predicate kernel, and
+	// runs behind the generic leaf when the WHERE clause does not compile.
 	AggKernels bool
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries dispatched to the typed path vs falling back to the generic
@@ -92,36 +102,32 @@ func (o ExecOptions) pool() *par.Pool {
 	return par.NewPool(par.Options{Parallelism: o.Parallelism, MorselSize: o.MorselSize})
 }
 
+// addTo adds v to an optional shared counter.
+func addTo(c *atomic.Int64, v int64) {
+	if c != nil {
+		c.Add(v)
+	}
+}
+
 // tracer carries the per-query observability state through the operators:
-// the cancellation context and the optional live scan counter. When neither
-// is armed (background context, nil counter) the operators take exactly the
-// pre-context fast paths.
+// the cancellation context and the optional live scan counter.
 type tracer struct {
 	ctx     context.Context
 	scanned *atomic.Int64
 }
 
-// active reports whether execution must go through the morsel-granular
-// paths: either the context can be cancelled or scan progress is counted.
-func (tr tracer) active() bool { return tr.ctx.Done() != nil || tr.scanned != nil }
+func (tr tracer) count(rows int) { addTo(tr.scanned, int64(rows)) }
 
-func (tr tracer) count(rows int) {
-	if tr.scanned != nil {
-		tr.scanned.Add(int64(rows))
-	}
-}
-
-// ExecuteOpts runs the query with the given execution options. It is
-// exactly Execute when opt.Parallelism == 1 (the sequential operators run,
-// same code path), and the morsel-driven operators otherwise.
+// ExecuteOpts runs the query with the given execution options through the
+// morsel driver, under a background context. Parallelism 1 runs the same
+// plan on one worker; Execute is the separate sequential oracle.
 func ExecuteOpts(t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
 	return ExecuteCtx(context.Background(), t, q, opt)
 }
 
 // ExecuteCtx is ExecuteOpts under a context: cancellation is checked
-// between morsel claims (parallel) or between morsels (sequential), so a
-// cancelled or timed-out query returns ctx.Err() within one morsel's worth
-// of work per worker, never mid-morsel.
+// between morsel claims, so a cancelled or timed-out query returns
+// ctx.Err() within one morsel's worth of work per worker, never mid-morsel.
 func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
 	if len(q.Select) == 0 {
 		return nil, ErrEmptySelect
@@ -129,100 +135,97 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pool := opt.pool()
-	tr := tracer{ctx: ctx, scanned: opt.Scanned}
 	// The span is extracted once per query, never per morsel; when the
 	// request is untraced sp is nil and every call below is a no-op.
 	var sp *trace.Span
 	if !disableTrace {
 		sp = trace.FromContext(ctx)
 	}
-	n := t.NumRows()
+	stage := "project"
+	if len(q.GroupBy) > 0 {
+		stage = "group_by"
+	} else if q.HasAggregates() {
+		stage = "aggregate"
+	}
+	// The visitor: a typed accumulator whenever the aggregation compiles.
+	var ak *aggKernel
 	aggFallback := ""
-	if opt.AggKernels && (q.HasAggregates() || len(q.GroupBy) > 0) {
-		ak, reason := compileAggKernel(t, q)
+	if opt.AggKernels && stage != "project" {
+		ak, aggFallback = compileAggKernel(t, q)
 		if ak != nil {
-			if opt.AggKernelHits != nil {
-				opt.AggKernelHits.Add(1)
-			}
-			return executeAggKernel(t, q, ak, pool, tr, opt, sp)
-		}
-		aggFallback = reason
-		if opt.AggKernelFallbacks != nil {
-			opt.AggKernelFallbacks.Add(1)
+			addTo(opt.AggKernelHits, 1)
+		} else {
+			addTo(opt.AggKernelFallbacks, 1)
 		}
 	}
+	s := &scan{tracer: tracer{ctx: ctx, scanned: opt.Scanned}, t: t, pool: opt.pool(), fused: ak != nil}
+	if ak != nil {
+		kreason, err := s.plan(q.Where, true, opt.ZoneMap)
+		if err != nil {
+			return nil, err
+		}
+		st := sp.Child(stage)
+		out, err := ak.aggregate(s, q)
+		addTo(opt.ZoneSkipped, s.skipped.Load())
+		s.describe(st, opt.ZoneMap)
+		st.SetInt("rows_matched", s.matched.Load())
+		st.SetBool("agg_kernel", true)
+		st.SetBool("fused", true)
+		if s.where != nil {
+			s.describeKernel(st, kreason)
+		}
+		return s.closeStage(sp, st, out, err, q)
+	}
+
 	scanSp := sp.Child("scan")
-	var (
-		sel      []int
-		zskipped int64
-		kinfo    kernelInfo
-		err      error
-	)
+	kreason, err := s.plan(q.Where, opt.Kernels, opt.ZoneMap)
+	var sel []int
+	if err == nil {
+		sel, err = s.collect()
+	}
+	s.describe(scanSp, opt.ZoneMap)
+	scanSp.SetInt("rows_out", int64(len(sel)))
 	if opt.Kernels {
-		sel, zskipped, kinfo, err = filterKernel(t, q.Where, pool, tr, opt.ZoneMap)
-	} else {
-		sel, zskipped, err = filterPar(t, q.Where, pool, tr, opt.ZoneMap)
+		s.describeKernel(scanSp, kreason)
 	}
-	if opt.ZoneSkipped != nil && zskipped > 0 {
-		opt.ZoneSkipped.Add(zskipped)
-	}
-	if scanSp != nil {
-		scanSp.SetInt("rows_in", int64(n))
-		scanSp.SetInt("rows_out", int64(len(sel)))
-		scanSp.SetInt("morsels", int64(pool.Morsels(n)))
-		scanSp.SetInt("workers", int64(pool.WorkersFor(n)))
-		if opt.ZoneMap {
-			scanSp.SetInt("zone_skipped", zskipped)
-		}
-		if opt.Kernels {
-			scanSp.SetBool("kernel", kinfo.used)
-			if kinfo.used {
-				scanSp.SetInt("kernel_leaves", int64(kinfo.leaves))
-			} else if kinfo.fallback != "" {
-				scanSp.SetStr("kernel_fallback", kinfo.fallback)
-			}
-		}
-		scanSp.End()
-	}
+	scanSp.End()
+	addTo(opt.ZoneSkipped, s.skipped.Load())
 	if err != nil {
 		return nil, err
 	}
+	st := sp.Child(stage)
 	var out *storage.Table
-	switch {
-	case q.HasAggregates() && len(q.GroupBy) == 0:
-		st := sp.Child("aggregate")
-		st.SetInt("rows_in", int64(len(sel)))
-		if opt.AggKernels {
-			st.SetBool("agg_kernel", false)
-			st.SetStr("agg_kernel_fallback", aggFallback)
-		}
-		out, err = scalarAggregatePar(t, sel, q, pool, tr)
-		st.End()
-	case len(q.GroupBy) > 0:
-		st := sp.Child("group_by")
-		st.SetInt("rows_in", int64(len(sel)))
-		if opt.AggKernels {
-			st.SetBool("agg_kernel", false)
-			st.SetStr("agg_kernel_fallback", aggFallback)
-		}
-		out, err = groupByPar(t, sel, q, pool, tr)
-		if err == nil {
-			st.SetInt("groups", int64(out.NumRows()))
-		}
-		st.End()
-	default:
-		st := sp.Child("project")
+	if stage == "project" {
 		st.SetInt("rows_out", int64(len(sel)))
 		if err = ctx.Err(); err == nil {
 			out, err = project(t, sel, q)
 		}
-		st.End()
+		return s.closeStage(sp, st, out, err, q)
 	}
+	st.SetInt("rows_in", int64(len(sel)))
+	if opt.AggKernels {
+		st.SetBool("agg_kernel", false)
+		st.SetStr("agg_kernel_fallback", aggFallback)
+	}
+	if stage == "aggregate" {
+		out, err = scalarAggregatePar(t, sel, q, s.pool, s.tracer)
+	} else {
+		out, err = groupByPar(t, sel, q, s.pool, s.tracer)
+	}
+	return s.closeStage(sp, st, out, err, q)
+}
+
+// closeStage ends the operator stage's span, then applies the sequential
+// HAVING/ORDER BY/LIMIT tail under its own span.
+func (s *scan) closeStage(sp, st *trace.Span, out *storage.Table, err error, q Query) (*storage.Table, error) {
+	if err == nil && len(q.GroupBy) > 0 {
+		st.SetInt("groups", int64(out.NumRows()))
+	}
+	st.End()
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
 	fsp := sp.Child("finish")
@@ -231,109 +234,195 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions)
 	return out, err
 }
 
-// filterPar evaluates the predicate over morsels in parallel and merges the
-// per-morsel selection vectors in morsel order, yielding the same ascending
-// positions a sequential scan produces. With zone maps enabled it first
-// skips morsels the predicate's range cannot touch; the second return value
-// counts skipped morsels (always 0 with zone maps off).
-func filterPar(t *storage.Table, p *expr.Pred, pool *par.Pool, tr tracer, zone bool) ([]int, int64, error) {
-	n := t.NumRows()
-	if p == nil || p.Kind == expr.KTrue {
-		// Identity selection: no data is touched, so nothing counts as
-		// scanned; a single cancellation check bounds the latency.
-		if err := tr.ctx.Err(); err != nil {
-			return nil, 0, err
+// scan is one query's morsel driver, configured once by plan: the row
+// leaf (a compiled kernel, expr.FilterRange, or none for a trivial WHERE),
+// the zone pruners, and whether the visitor accumulates (fused), which
+// decides what the live counter sees.
+type scan struct {
+	tracer
+	t       *storage.Table
+	pool    *par.Pool
+	where   *expr.Pred // nil: trivial WHERE, no leaf
+	kern    *expr.Kernel
+	pruners []zonePruner
+	fused   bool
+	// held keeps the collect visitor's pooled buffers claimed until its
+	// merge has copied them out; nil when no kernel runs or the visitor
+	// folds each selection before the driver returns its buffer.
+	held             []*[]int
+	matched, skipped atomic.Int64
+}
+
+// plan picks the leaf and the pruners. A kernel is compiled only when
+// asked for; one that compiles passes the exec/kernel-dispatch fault site
+// once, before any morsel runs. It returns the compile fallback reason.
+func (s *scan) plan(where *expr.Pred, kernels, zone bool) (string, error) {
+	reason := ""
+	if kernels {
+		if s.kern, reason = expr.CompileKernel(s.t, where); s.kern != nil {
+			if err := fpKernel.Hit(); err != nil {
+				return reason, err
+			}
 		}
-		sel, err := expr.Filter(t, p)
-		return sel, 0, err
 	}
-	var pruners []zonePruner
+	if where == nil || where.Kind == expr.KTrue {
+		return reason, nil
+	}
+	s.where = where
 	if zone {
 		var err error
-		pruners, err = zonePruners(t, p, pool.MorselSize())
-		if err != nil {
-			return nil, 0, err
+		if s.pruners, err = zonePruners(s.t, where, s.pool.MorselSize()); err != nil {
+			return reason, err
 		}
 	}
-	if pool.WorkersFor(n) <= 1 && !tr.active() && len(pruners) == 0 {
+	if s.kern == nil {
+		// Validate once up front so workers cannot race on error paths.
+		return reason, where.Validate(s.t.Schema())
+	}
+	return reason, nil
+}
+
+// drive is the one morsel loop over the table's rows. Each morsel hits
+// the exec/scan fault site, consults the zone pruners, runs the leaf into
+// a selection (a pooled buffer under a kernel), counts the rows it touched
+// and goes to visit; sel is nil on a dense scan, where visit takes all of
+// [lo, hi). The counter sees the rows the predicate visits, plus the rows
+// a fused visitor accumulates.
+func (s *scan) drive(visit func(worker, lo, hi int, sel []int)) error {
+	m := s.pool.MorselSize()
+	err := s.pool.ForEachErrCtx(s.ctx, s.t.NumRows(), func(worker, lo, hi int) error {
 		if err := fpScan.Hit(); err != nil {
-			return nil, 0, err
+			return err
 		}
-		sel, err := expr.Filter(t, p)
-		return sel, 0, err
-	}
-	// Validate once up front so workers cannot race on error paths.
-	if err := p.Validate(t.Schema()); err != nil {
-		return nil, 0, err
-	}
-	m := pool.MorselSize()
-	parts := make([][]int, storage.NumChunks(n, m))
-	var skipped atomic.Int64
-	err := pool.ForEachErrCtx(tr.ctx, n, func(_, lo, hi int) error {
-		if ferr := fpScan.Hit(); ferr != nil {
-			return ferr
-		}
-		for _, pr := range pruners {
+		for _, pr := range s.pruners {
 			if pr.skip(lo / m) {
 				// Skipped morsels are not scanned: no rows touched, no
 				// progress counted — the live counter reflects real work.
-				skipped.Add(1)
+				s.skipped.Add(1)
 				return nil
 			}
 		}
-		s, ferr := expr.FilterRange(t, p, lo, hi)
-		if ferr != nil {
-			return ferr
+		var sel []int
+		switch {
+		case s.kern != nil:
+			buf := getSel()
+			*buf = s.kern.Run(lo, hi, *buf)
+			sel = *buf
+			if s.held != nil {
+				s.held[lo/m] = buf
+			} else {
+				defer putSel(buf)
+			}
+		case s.where != nil:
+			var err error
+			if sel, err = expr.FilterRange(s.t, s.where, lo, hi); err != nil {
+				return err
+			}
 		}
-		parts[lo/m] = s
-		tr.count(hi - lo)
+		visit(worker, lo, hi, sel)
+		matched, visited := len(sel), hi-lo
+		if s.where == nil {
+			matched, visited = hi-lo, 0
+		}
+		if s.fused {
+			visited += matched
+		}
+		s.matched.Add(int64(matched))
+		s.count(visited)
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		s.matched.Store(0)
+		s.skipped.Store(0)
 	}
-	total := 0
-	for _, s := range parts {
-		total += len(s)
-	}
-	out := make([]int, 0, total)
-	for _, s := range parts {
-		out = append(out, s...)
-	}
-	return out, skipped.Load(), nil
+	return err
 }
 
-// scalarAggregatePar accumulates per-morsel partial states and merges them
-// in morsel order. Morsel-indexed (rather than worker-indexed) partials
-// make the merge order — and so the floating-point sum — deterministic for
-// a given morsel size, independent of scheduling.
-func scalarAggregatePar(t *storage.Table, sel []int, q Query, pool *par.Pool, tr tracer) (*storage.Table, error) {
-	if pool.WorkersFor(len(sel)) <= 1 {
-		if !tr.active() {
-			return scalarAggregate(t, sel, q)
-		}
-		// Serial with observability: accumulate into one state morsel by
-		// morsel — identical float association to the sequential operator,
-		// with cancellation checks and counter updates between morsels.
-		inputs, err := scalarInputs(t, q)
-		if err != nil {
+// collect is the selection visitor: it drives the scan and merges the
+// per-morsel selections in morsel order, yielding the ascending positions
+// a sequential scan produces. A trivial WHERE needs no scan at all: the
+// identity selection touches no data, so nothing counts as scanned, and a
+// single cancellation check bounds the latency.
+func (s *scan) collect() ([]int, error) {
+	if s.where == nil {
+		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
-		states := newAggStates(q)
-		m := pool.MorselSize()
-		for lo := 0; lo < len(sel); lo += m {
-			if err := tr.ctx.Err(); err != nil {
-				return nil, err
-			}
-			hi := lo + m
-			if hi > len(sel) {
-				hi = len(sel)
-			}
-			accumulateScalar(inputs, states, sel, lo, hi)
-			tr.count(hi - lo)
-		}
-		return buildScalarOutput(t, q, states)
+		return expr.Filter(s.t, nil)
 	}
+	parts := make([][]int, s.pool.Morsels(s.t.NumRows()))
+	if s.kern != nil {
+		s.held = make([]*[]int, len(parts))
+		defer func() {
+			// Return every claimed buffer — after the merge below has copied
+			// the positions out, or on the error/cancellation path.
+			for _, b := range s.held {
+				if b != nil {
+					putSel(b)
+				}
+			}
+		}()
+	}
+	m := s.pool.MorselSize()
+	if err := s.drive(func(_, lo, _ int, sel []int) { parts[lo/m] = sel }); err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]int, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, nil
+}
+
+// describe writes the attributes the scan span and the fused stage span
+// share.
+func (s *scan) describe(sp *trace.Span, zone bool) {
+	n := s.t.NumRows()
+	sp.SetInt("rows_in", int64(n))
+	sp.SetInt("morsels", int64(s.pool.Morsels(n)))
+	sp.SetInt("workers", int64(s.pool.WorkersFor(n)))
+	if zone {
+		sp.SetInt("zone_skipped", s.skipped.Load())
+	}
+}
+
+// describeKernel records which leaf ran: the kernel and its leaf count, or
+// the reason the predicate did not compile.
+func (s *scan) describeKernel(sp *trace.Span, reason string) {
+	sp.SetBool("kernel", s.kern != nil)
+	if s.kern != nil {
+		sp.SetInt("kernel_leaves", int64(s.kern.Leaves()))
+	} else if reason != "" {
+		sp.SetStr("kernel_fallback", reason)
+	}
+}
+
+// mergePartials folds per-morsel scalar partials in morsel order. nil
+// partials (pruned morsels) contributed nothing.
+func mergePartials(q Query, partials [][]*aggState) []*aggState {
+	states := newAggStates(q)
+	for _, p := range partials {
+		if p == nil {
+			continue
+		}
+		for i, st := range states {
+			if st != nil {
+				st.merge(p[i])
+			}
+		}
+	}
+	return states
+}
+
+// scalarAggregatePar accumulates per-morsel partial states over the merged
+// selection and merges them in morsel order. Morsel-indexed (rather than
+// worker-indexed) partials make the merge order — and so the floating-point
+// sum — deterministic for a given morsel size, independent of scheduling.
+func scalarAggregatePar(t *storage.Table, sel []int, q Query, pool *par.Pool, tr tracer) (*storage.Table, error) {
 	inputs, err := scalarInputs(t, q)
 	if err != nil {
 		return nil, err
@@ -349,31 +438,19 @@ func scalarAggregatePar(t *storage.Table, sel []int, q Query, pool *par.Pool, tr
 	if err != nil {
 		return nil, err
 	}
-	states := newAggStates(q)
-	for _, p := range partials {
-		for i, st := range states {
-			st.merge(p[i])
-		}
-	}
-	return buildScalarOutput(t, q, states)
+	return buildScalarOutput(t, q, mergePartials(q, partials))
 }
 
-// groupByPar builds one thread-local hash table per worker, merges them,
-// and restores the sequential first-seen group order by sorting merged
-// groups on the selection-vector position of their first row.
+// groupByPar builds one thread-local hash table per worker over the merged
+// selection, merges them, and restores the sequential first-seen group
+// order by sorting merged groups on the selection position of their first
+// row.
 func groupByPar(t *storage.Table, sel []int, q Query, pool *par.Pool, tr tracer) (*storage.Table, error) {
-	w := pool.WorkersFor(len(sel))
-	if w <= 1 && !tr.active() {
-		return groupBy(t, sel, q)
-	}
-	if w < 1 {
-		w = 1
-	}
 	groupCols, inputs, err := groupInputs(t, q)
 	if err != nil {
 		return nil, err
 	}
-	locals := make([]*groupTable, w)
+	locals := make([]*groupTable, max(1, pool.WorkersFor(len(sel))))
 	for i := range locals {
 		locals[i] = newGroupTable()
 	}

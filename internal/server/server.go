@@ -317,7 +317,8 @@ type QueryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// QueryResult is the /query response: a column-major-encoded result table.
+// QueryResult is the /query response: the result table's column names and
+// types, then its cells row-major, one []any per row.
 type QueryResult struct {
 	Columns   []string `json:"columns"`
 	Types     []string `json:"types"`

@@ -192,6 +192,24 @@ func TestServerDisconnectCancellation(t *testing.T) {
 		t.Fatalf("client saw %v, want context.Canceled", err)
 	}
 
+	// The client returns as soon as it drops the connection, before the
+	// server has seen the disconnect. The cancelled counter is bumped only
+	// after the engine has returned, so wait on it before snapshotting.
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		s, err := cl.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Queries.Cancelled > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never recorded the cancelled query")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	// The counter must freeze: two /admin/stats snapshots spaced apart
 	// agree, and the total stays below one full filter+aggregate pass.
 	s1, err := cl.Stats(ctx)
