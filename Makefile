@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz fuzz-kernels fuzz-aggkernels bench bench-concurrency bench-idebench bench-kernels bench-aggkernels bench-shard chaos metrics-smoke cluster-smoke
+.PHONY: all build test race vet fmt-check fuzz fuzz-kernels fuzz-aggkernels bench bench-concurrency bench-idebench bench-kernels bench-aggkernels bench-shard chaos smoke
 
 all: vet fmt-check build test
 
@@ -81,15 +81,10 @@ bench-shard:
 chaos:
 	$(GO) test -race -run 'Chaos|Oracle' -count=2 ./internal/chaos/ ./internal/exec/
 
-# End-to-end observability smoke: builds dexd, boots it, drives a traced
-# session, validates /metrics exposition and /admin/slow, SIGTERM-drains.
-metrics-smoke:
+# End-to-end smoke through real dexd processes: one node's observability
+# surfaces and SIGTERM drain, then two `dexd -worker` processes behind a
+# `dexd -shard-workers` coordinator — one query per execution mode, a
+# worker SIGKILL with honest degraded coverage, a blank restart healed back
+# to exactly full coverage, and a clean coordinator exit.
+smoke:
 	$(GO) run ./cmd/dexsmoke
-
-# Multi-process cluster smoke: spawns a dexd worker fleet plus a
-# coordinator over loopback TCP, runs one query per execution mode,
-# checks the scatter/gather count against placed rows, kills a worker,
-# verifies honest degraded coverage, then restarts the worker blank and
-# gates on the healer restoring coverage to exactly 1.0.
-cluster-smoke:
-	$(GO) run ./cmd/dexcluster -smoke

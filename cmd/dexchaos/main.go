@@ -9,7 +9,6 @@
 //
 //	dexchaos [-seeds 1,2,3] [-clients 3] [-queries 10] [-rows 20000]
 //	         [-mode exact] [-timeout 150ms] [-drain-at 0]
-//	         [-zonemap=true] [-kernels=true] [-agg-kernels=true] [-encode=true]
 //	         [-fault "AT:SITE=SPEC[:FOR]"]... [-json out.json] [-quiet]
 //
 // Each -fault entry arms SITE with SPEC at offset AT, optionally disarming
@@ -94,12 +93,6 @@ func main() {
 	mode := flag.String("mode", "", "execution mode for every query (default exact)")
 	timeout := flag.Duration("timeout", 150*time.Millisecond, "per-query deadline")
 	drainAt := flag.Duration("drain-at", 0, "initiate a drain (the SIGTERM path) at this offset (0 = no drain)")
-	// The engine switches default to on, as in dex and dexd, so the chaos
-	// run exercises the configuration production runs.
-	zonemap := flag.Bool("zonemap", true, "zone-map scan skipping in the engine under test")
-	kernels := flag.Bool("kernels", true, "typed predicate kernels in the engine under test")
-	aggKernels := flag.Bool("agg-kernels", true, "typed aggregation kernels in the engine under test")
-	encode := flag.Bool("encode", true, "dictionary/RLE-encode the demo table at load")
 	flag.Var(&faults, "fault", "AT:SITE=SPEC[:FOR] schedule entry (repeatable; default standing schedule)")
 	jsonOut := flag.String("json", "", "write all reports as JSON to this file")
 	quiet := flag.Bool("quiet", false, "suppress the fault schedule narration")
@@ -130,10 +123,6 @@ func main() {
 			Timeout:          *timeout,
 			Faults:           schedule,
 			DrainAt:          *drainAt,
-			ZoneMap:          *zonemap,
-			Kernels:          *kernels,
-			AggKernels:       *aggKernels,
-			Encode:           *encode,
 		}
 		if !*quiet {
 			cfg.Log = log.New(os.Stderr, fmt.Sprintf("seed=%-3d ", seed), 0)

@@ -8,8 +8,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 33 {
-		t.Fatalf("registered experiments = %d, want 33", len(all))
+	if len(all) != 32 {
+		t.Fatalf("registered experiments = %d, want 32", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {

@@ -72,10 +72,6 @@ type Config struct {
 	DrainAt     time.Duration
 	Parallelism int
 	MorselSize  int
-	ZoneMap     bool        // enable zone-map scan skipping in the engine
-	Kernels     bool        // enable typed predicate kernels in the engine
-	AggKernels  bool        // enable typed aggregation kernels / fused pipeline
-	Encode      bool        // dictionary/RLE-encode the demo table at load
 	Log         *log.Logger // optional narration of the fault schedule
 	// Shards, when > 0, runs the server as a coordinator over an
 	// in-process worker fleet: sales queries scatter/gather, and two
@@ -174,15 +170,16 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// In-process service: degradation on, a small admission envelope so
-	// the schedule can actually saturate it.
+	// In-process service on the engine configuration dexd deploys (zone
+	// maps, both kernel families, encoded columns), plus degradation and
+	// a small admission envelope so the schedule can actually saturate it.
 	eng := core.New(core.Options{
 		Seed:         cfg.Seed,
 		Degrade:      true,
 		DegradeGrace: time.Second,
-		Encode:       cfg.Encode,
+		Encode:       true,
 		Exec: exec.ExecOptions{Parallelism: cfg.Parallelism, MorselSize: cfg.MorselSize,
-			ZoneMap: cfg.ZoneMap, Kernels: cfg.Kernels, AggKernels: cfg.AggKernels},
+			ZoneMap: true, Kernels: true, AggKernels: true},
 	})
 	sales, err := workload.Sales(rand.New(rand.NewSource(42)), cfg.Rows)
 	if err != nil {

@@ -95,7 +95,6 @@ func TestChaosCrackedMode(t *testing.T) {
 				QueriesPerClient: 8,
 				Rows:             10_000,
 				Mode:             "cracked",
-				ZoneMap:          true,
 				Timeout:          120 * time.Millisecond,
 				Faults:           faults,
 			})
@@ -140,10 +139,6 @@ func TestChaosKernelEncoded(t *testing.T) {
 				Clients:          3,
 				QueriesPerClient: 8,
 				Rows:             10_000,
-				ZoneMap:          true,
-				Kernels:          true,
-				AggKernels:       true,
-				Encode:           true,
 				Timeout:          120 * time.Millisecond,
 				Faults:           faults,
 			})

@@ -12,12 +12,13 @@ import (
 // The aggregation differential fuzzer, the FuzzKernelVsGeneric pattern one
 // layer up: every byte string decodes to twin tables (plain and dict/RLE
 // encoded forms of the same rows) plus an aggregate or group-by query, and
-// the typed aggregation path — fused, half-fused behind an uncompilable
-// predicate, sequential and parallel, over both representations — must
-// match the sequential generic oracle. Value pools carry the adversarial
-// cases: NaN/±Inf floats, int64 extremes, values straddling 2^53 (where
-// the typed min/max tie-breaking must mirror Value.Compare's float64
-// domain), empty tables and empty selections.
+// the typed aggregation path — fused behind a typed filter leaf, or behind
+// the generic leaf for an uncompilable predicate, sequential and parallel,
+// over both representations — must match the sequential generic oracle.
+// Value pools carry the adversarial cases: NaN/±Inf floats, int64
+// extremes, values straddling 2^53 (where the typed min/max tie-breaking
+// must mirror Value.Compare's float64 domain), empty tables and empty
+// selections.
 
 // afReader turns fuzz bytes into bounded draws; exhausted input yields
 // zeros, so every prefix of a crashing input is itself a valid input.
@@ -92,8 +93,8 @@ func afTables(t *testing.T, f *afReader) (plain, enc *storage.Table) {
 // the numeric and string columns, single-column groups over int / string /
 // clustered keys, occasionally a multi-column group (which exercises the
 // compile fallback), plus optional WHERE in three flavors — none (dense
-// fused), a specializable conjunction (fused), or an OR (half-fused: the
-// typed accumulators consume a materialized selection).
+// fused), a specializable conjunction (fused behind the typed leaf), or an
+// OR (fused behind the generic leaf, which feeds the typed accumulators).
 func afQuery(f *afReader) Query {
 	var q Query
 	numAggs := []AggFunc{AggCount, AggSum, AggAvg, AggMin, AggMax}

@@ -17,7 +17,8 @@ import (
 // not ask for a trace), the E26 parallel scan path must run within 2% of
 // the same path with the trace hooks compiled out entirely (disableTrace
 // short-circuits the one FromContext lookup and the nil-span calls).
-// Best-of-reps timing with a small absolute slack, like the other guards.
+// Best-of-7 per side, alternated, with a small absolute slack, like the
+// other guards.
 func TestTracingOffOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing guard skipped in -short mode")
@@ -38,31 +39,26 @@ func TestTracingOffOverheadBounded(t *testing.T) {
 	opt := ExecOptions{Parallelism: 4}
 	ctx := context.Background()
 
-	bestOf := func(reps int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := ExecuteCtx(ctx, sales, q, opt); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	run := func(off bool) time.Duration {
+		disableTrace = off
+		start := time.Now()
+		if _, err := ExecuteCtx(ctx, sales, q, opt); err != nil {
+			t.Fatal(err)
 		}
-		return best
+		return time.Since(start)
 	}
 
 	defer func() { disableTrace = false }()
-	// Warm both configurations so first-touch allocation biases neither.
-	disableTrace = true
-	bestOf(1)
-	disableTrace = false
-	bestOf(1)
-
-	disableTrace = true
-	base := bestOf(7)
-	disableTrace = false
-	hooked := bestOf(7)
+	// One warm run per side so first-touch allocation biases neither, then
+	// the sides alternate rep by rep (as alternateBestOf does for the bench
+	// guards), so a burst of host noise lands on both.
+	run(true)
+	run(false)
+	base, hooked := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < 7; i++ {
+		base = min(base, run(true))
+		hooked = min(hooked, run(false))
+	}
 
 	const slack = 2 * time.Millisecond
 	limit := base + base/50 + slack // 1.02x plus absolute jitter allowance

@@ -152,7 +152,7 @@ func retryable(err error) bool {
 }
 
 // Client is a typed HTTP client for the dexd service, used by the tests,
-// the load harness and cmd/dexload.
+// the idebench driver and cmd/dexsmoke.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client

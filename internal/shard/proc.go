@@ -20,7 +20,6 @@ import (
 const (
 	workerEnv     = "DEX_SHARD_WORKER"
 	workerSeedEnv = "DEX_SHARD_SEED"
-	workerAddrEnv = "DEX_SHARD_ADDR"
 	readyPrefix   = "DEX_SHARD_READY "
 )
 
@@ -40,14 +39,7 @@ func MaybeWorkerProcess() {
 }
 
 func runWorkerProcess(seed int64) error {
-	// A restarted worker pins its predecessor's address (workerAddrEnv)
-	// so the coordinator's existing client redials straight into it; a
-	// fresh worker takes any free port.
-	addr := os.Getenv(workerAddrEnv)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	lis, err := net.Listen("tcp", addr)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
@@ -67,7 +59,6 @@ func runWorkerProcess(seed int64) error {
 // binary.
 type ProcFleet struct {
 	Addrs []string
-	seed  int64
 	procs []*os.Process
 	pipes []io.WriteCloser
 }
@@ -77,12 +68,11 @@ type ProcFleet struct {
 func SpawnWorkers(n int, seed int64) (*ProcFleet, error) {
 	f := &ProcFleet{
 		Addrs: make([]string, n),
-		seed:  seed,
 		procs: make([]*os.Process, n),
 		pipes: make([]io.WriteCloser, n),
 	}
 	for i := 0; i < n; i++ {
-		if err := f.spawn(i, ""); err != nil {
+		if err := f.spawn(i, seed); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -90,8 +80,8 @@ func SpawnWorkers(n int, seed int64) (*ProcFleet, error) {
 	return f, nil
 }
 
-// spawn starts worker slot i, optionally pinning its listen address.
-func (f *ProcFleet) spawn(i int, addr string) error {
+// spawn starts worker slot i on a free loopback port.
+func (f *ProcFleet) spawn(i int, seed int64) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
@@ -99,11 +89,8 @@ func (f *ProcFleet) spawn(i int, addr string) error {
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(),
 		workerEnv+"=1",
-		workerSeedEnv+"="+strconv.FormatInt(f.seed, 10),
+		workerSeedEnv+"="+strconv.FormatInt(seed, 10),
 	)
-	if addr != "" {
-		cmd.Env = append(cmd.Env, workerAddrEnv+"="+addr)
-	}
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return err
@@ -130,20 +117,6 @@ func (f *ProcFleet) spawn(i int, addr string) error {
 		c.Wait()
 	}(cmd, stdout)
 	return nil
-}
-
-// Restart re-spawns a killed worker slot on its original address — a
-// blank process, exactly the restart-after-crash shape the healer
-// re-stages. The coordinator's client redials the same address on its
-// next call.
-func (f *ProcFleet) Restart(i int) error {
-	if i < 0 || i >= len(f.procs) {
-		return fmt.Errorf("shard: restart: no worker slot %d", i)
-	}
-	if f.procs[i] != nil {
-		return fmt.Errorf("shard: restart: worker %d is still running", i)
-	}
-	return f.spawn(i, f.Addrs[i])
 }
 
 // readReady scans the child's stdout for its ready line.
@@ -173,17 +146,6 @@ func readReady(r io.Reader, timeout time.Duration) (string, error) {
 	case <-time.After(timeout):
 		return "", fmt.Errorf("timed out waiting for worker ready line")
 	}
-}
-
-// Kill terminates one worker process immediately (for degradation
-// drills); the coordinator sees connection failures on its shard.
-func (f *ProcFleet) Kill(i int) {
-	if i < 0 || i >= len(f.procs) || f.procs[i] == nil {
-		return
-	}
-	f.pipes[i].Close()
-	f.procs[i].Kill()
-	f.procs[i] = nil
 }
 
 // Close shuts the whole fleet down (stdin close first for a graceful
